@@ -8,6 +8,8 @@
 //! * `qp_solve` — the inner ADMM QP alone;
 //! * `qp_solve_warm` — the QP with a warm iterate + cached workspace;
 //! * `hybrid_astar` — one global plan (amortized over replans);
+//! * `reeds_shepp` — one shortest Reeds-Shepp path, the planner's
+//!   heuristic and analytic expansion, cycling over a fixed grid of goals;
 //! * `bev_render` + `detect` — the perception substrate;
 //! * `hsa_update` — the mode-switching overhead (must be negligible).
 
@@ -17,7 +19,7 @@ use icoil_geom::{Obb, Pose2};
 use icoil_hsa::{Hsa, HsaConfig};
 use icoil_il::IlModel;
 use icoil_perception::{BevConfig, BevRenderer, ObjectDetector};
-use icoil_planner::{plan, PlannerConfig, PlanningProblem};
+use icoil_planner::{plan, reeds_shepp, PlannerConfig, PlanningProblem};
 use icoil_solver::{
     solve_qp, solve_qp_warm, Mat, QpProblem, QpSettings, QpWarmStart, QpWorkspace,
 };
@@ -150,6 +152,26 @@ fn bench_hybrid_astar(c: &mut Criterion) {
     });
 }
 
+fn bench_reeds_shepp(c: &mut Criterion) {
+    let radius = VehicleParams::default().min_turning_radius();
+    let start = Pose2::new(0.0, 0.0, 0.0);
+    let mut goals = Vec::new();
+    for x in [-12.0, -6.0, -2.0, 0.0, 3.0, 8.0, 14.0] {
+        for y in [-8.0, -3.0, 0.0, 2.0, 7.0] {
+            for theta in [-3.0, -1.5, 0.0, 1.0, 2.5] {
+                goals.push(Pose2::new(x, y, theta));
+            }
+        }
+    }
+    let mut next = 0;
+    c.bench_function("reeds_shepp", |b| {
+        b.iter(|| {
+            next = (next + 1) % goals.len();
+            std::hint::black_box(reeds_shepp::shortest_path(start, goals[next], radius))
+        })
+    });
+}
+
 fn bench_perception(c: &mut Criterion) {
     let scenario = ScenarioConfig::new(Difficulty::Hard, 1).build();
     let renderer = BevRenderer::new(BevConfig::default());
@@ -195,7 +217,7 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_il_inference, bench_co_solve, bench_co_solve_warm,
-              bench_qp_solve, bench_hybrid_astar, bench_perception,
+              bench_qp_solve, bench_hybrid_astar, bench_reeds_shepp, bench_perception,
               bench_hsa_update
 }
 criterion_main!(benches);

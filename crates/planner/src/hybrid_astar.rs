@@ -192,7 +192,12 @@ impl PartialOrd for OpenItem {
 /// Checks a pose against bounds and obstacles using the vehicle's
 /// three-circle coverage model (the same approximation the MPC enforces,
 /// so planned paths are feasible for the tracking layer by construction).
+/// A non-finite pose is never free: every comparison below is false for
+/// NaN, which would otherwise read as clear of every bound and obstacle.
 fn pose_free(problem: &PlanningProblem, pose: Pose2) -> bool {
+    if !pose.is_finite() {
+        return false;
+    }
     let heading = Vec2::from_angle(pose.theta);
     for (off, radius) in problem.vehicle.coverage_circles() {
         let c = pose.position() + heading * off;

@@ -124,6 +124,9 @@ fn advance(pose: Pose2, kind: SegmentKind, signed_len: f64, radius: f64) -> Pose
     }
 }
 
+/// A closed-form word at unit radius: three segments in drive order.
+type Word = [RsSegment; 3];
+
 /// Shortest Reeds-Shepp path (over the implemented families) from `start`
 /// to `goal` with minimum turning radius `radius`.
 ///
@@ -132,56 +135,46 @@ fn advance(pose: Pose2, kind: SegmentKind, signed_len: f64, radius: f64) -> Pose
 /// Panics for a non-positive radius.
 pub fn shortest_path(start: Pose2, goal: Pose2, radius: f64) -> RsPath {
     assert!(radius > 0.0, "turning radius must be positive");
-    // normalize into the canonical frame, scaled by the radius
-    let local = start.inverse().compose(goal);
-    let x = local.x / radius;
-    let y = local.y / radius;
-    let phi = local.theta;
-
-    let mut best: Option<(f64, Vec<RsSegment>)> = None;
-    let consider = |cand: Vec<RsSegment>, best: &mut Option<(f64, Vec<RsSegment>)>| {
-        let len: f64 = cand.iter().map(|s| s.length.abs()).sum();
-        if len < best.as_ref().map_or(f64::INFINITY, |(l, _)| *l) {
-            *best = Some((len, cand));
-        }
-    };
-    for cand in candidates(x, y, phi) {
-        consider(cand, &mut best);
-    }
+    let mut best = (f64::INFINITY, None);
+    search(start.inverse().compose(goal), radius, false, &mut best);
     // Time reversal: a word for the swapped problem (goal → start),
     // driven backwards (reversed order, negated lengths), solves the
     // original problem — this doubles the family coverage and often
     // finds much shorter maneuvers (e.g. for lateral shifts).
-    let swapped = goal.inverse().compose(start);
-    for cand in candidates(swapped.x / radius, swapped.y / radius, swapped.theta) {
-        let reversed: Vec<RsSegment> = cand
-            .into_iter()
-            .rev()
-            .map(|s| RsSegment {
-                kind: s.kind,
-                length: -s.length,
-            })
-            .collect();
-        consider(reversed, &mut best);
-    }
-    let (_, mut segments) = best.expect("at least one RS family always succeeds");
+    search(goal.inverse().compose(start), radius, true, &mut best);
+    let word: Word = best.1.expect("at least one RS family always succeeds");
     // scale unit-radius lengths back to meters (arcs and straights alike)
-    for s in &mut segments {
-        s.length *= radius;
-    }
+    let segments = word
+        .iter()
+        .map(|s| RsSegment {
+            kind: s.kind,
+            length: s.length * radius,
+        })
+        .collect();
     RsPath { segments, radius }
 }
 
-/// All candidate words for the normalized problem `(x, y, phi)`.
+/// Scans every candidate word for the problem of reaching `local` (a
+/// goal in the start's frame), normalized to unit radius, and keeps in
+/// `best` each one that is strictly shorter than the incumbent and
+/// *verifiably* reaches the goal. With `reversed`, the problem is the
+/// time-swapped one and an accepted word is stored driven backwards.
 ///
 /// Each closed-form word is expanded with every `±2π` re-branching of its
 /// arc segments (an arc of `t ∈ [0, 2π)` can equivalently be driven as
-/// `t − 2π`, i.e. the short way round in the other gear), and candidates
-/// are kept only when they *verifiably* reach the goal — this recovers
+/// `t − 2π`, i.e. the short way round in the other gear) — this recovers
 /// the short cusped maneuvers (e.g. parallel-park shifts) that the three
 /// base formulas alone miss.
-fn candidates(x: f64, y: f64, phi: f64) -> Vec<Vec<RsSegment>> {
-    let mut out = Vec::new();
+///
+/// The length test runs before the integration in [`reaches`], which is
+/// what the search spends its time on. That changes no decision: a
+/// candidate is accepted iff it reaches the goal *and* is shorter than
+/// the incumbent, candidates are visited in a fixed order, and the length
+/// is summed in the order the stored word is driven, so the result is
+/// the same path, bit for bit, as integrating every candidate first.
+fn search(local: Pose2, radius: f64, reversed: bool, best: &mut (f64, Option<Word>)) {
+    // the canonical frame, scaled by the radius
+    let (x, y, phi) = (local.x / radius, local.y / radius, local.theta);
     // base transforms: identity, timeflip, reflect, both
     let transforms: [(f64, f64, f64, bool, bool); 4] = [
         (x, y, phi, false, false),
@@ -194,47 +187,61 @@ fn candidates(x: f64, y: f64, phi: f64) -> Vec<Vec<RsSegment>> {
             .into_iter()
             .flatten()
         {
-            let base = apply_symmetry(word, timeflip, reflect);
-            for variant in rebranch_arcs(&base) {
-                if reaches(&variant, x, y, phi) {
-                    out.push(variant);
+            let [a, b, c] = apply_symmetry(word, timeflip, reflect);
+            let ((la, na), (lb, nb), (lc, nc)) = (branches(a), branches(b), branches(c));
+            for &ta in &la[..na] {
+                for &tb in &lb[..nb] {
+                    for &tc in &lc[..nc] {
+                        let length = if reversed {
+                            tc.abs() + tb.abs() + ta.abs()
+                        } else {
+                            ta.abs() + tb.abs() + tc.abs()
+                        };
+                        if length >= best.0 {
+                            continue;
+                        }
+                        let cand = [(a, ta), (b, tb), (c, tc)].map(|(seg, length)| RsSegment {
+                            kind: seg.kind,
+                            length,
+                        });
+                        if reaches(&cand, x, y, phi) {
+                            let word = if reversed {
+                                drive_backwards(cand)
+                            } else {
+                                cand
+                            };
+                            *best = (length, Some(word));
+                        }
+                    }
                 }
             }
         }
     }
-    out
 }
 
-/// Enumerates every combination of driving each arc the long or the
-/// short way round (`l` vs `l ∓ 2π`).
-fn rebranch_arcs(word: &[RsSegment]) -> Vec<Vec<RsSegment>> {
-    let mut variants: Vec<Vec<RsSegment>> = vec![Vec::new()];
-    for seg in word {
-        let options: Vec<f64> = match seg.kind {
-            SegmentKind::Straight => vec![seg.length],
-            _ => {
-                let alt = if seg.length >= 0.0 {
-                    seg.length - 2.0 * PI
-                } else {
-                    seg.length + 2.0 * PI
-                };
-                vec![seg.length, alt]
-            }
-        };
-        let mut next = Vec::with_capacity(variants.len() * options.len());
-        for v in &variants {
-            for &l in &options {
-                let mut w = v.clone();
-                w.push(RsSegment {
-                    kind: seg.kind,
-                    length: l,
-                });
-                next.push(w);
-            }
+/// The lengths a segment can be driven with, as `(options, count)`: an
+/// arc as given, then the other way round (`l ∓ 2π`); a straight only as
+/// given.
+fn branches(seg: RsSegment) -> ([f64; 2], usize) {
+    match seg.kind {
+        SegmentKind::Straight => ([seg.length; 2], 1),
+        _ => {
+            let alt = if seg.length >= 0.0 {
+                seg.length - 2.0 * PI
+            } else {
+                seg.length + 2.0 * PI
+            };
+            ([seg.length, alt], 2)
         }
-        variants = next;
     }
-    variants
+}
+
+/// The word driven in reverse: segments in reverse order, lengths negated.
+fn drive_backwards([a, b, c]: Word) -> Word {
+    [c, b, a].map(|s| RsSegment {
+        kind: s.kind,
+        length: -s.length,
+    })
 }
 
 /// Integrates a normalized (unit-radius) word and checks it ends at
@@ -249,7 +256,7 @@ fn reaches(word: &[RsSegment], x: f64, y: f64, phi: f64) -> bool {
         && icoil_geom::angle_diff(pose.theta, phi).abs() < 1e-6
 }
 
-fn apply_symmetry(mut word: Vec<RsSegment>, timeflip: bool, reflect: bool) -> Vec<RsSegment> {
+fn apply_symmetry(mut word: Word, timeflip: bool, reflect: bool) -> Word {
     for s in &mut word {
         if timeflip {
             s.length = -s.length;
@@ -278,11 +285,11 @@ fn mod2pi(a: f64) -> f64 {
 }
 
 /// L(t) S(u) L(v)
-fn lsl(x: f64, y: f64, phi: f64) -> Option<Vec<RsSegment>> {
+fn lsl(x: f64, y: f64, phi: f64) -> Option<Word> {
     let (u, t) = polar(x - phi.sin(), y - 1.0 + phi.cos());
     let t = mod2pi(t);
     let v = mod2pi(phi - t);
-    Some(vec![
+    Some([
         RsSegment { kind: SegmentKind::Left, length: t },
         RsSegment { kind: SegmentKind::Straight, length: u },
         RsSegment { kind: SegmentKind::Left, length: v },
@@ -290,7 +297,7 @@ fn lsl(x: f64, y: f64, phi: f64) -> Option<Vec<RsSegment>> {
 }
 
 /// L(t) S(u) R(v)
-fn lsr(x: f64, y: f64, phi: f64) -> Option<Vec<RsSegment>> {
+fn lsr(x: f64, y: f64, phi: f64) -> Option<Word> {
     let (u1, t1) = polar(x + phi.sin(), y - 1.0 - phi.cos());
     let u1_sq = u1 * u1;
     if u1_sq < 4.0 {
@@ -300,7 +307,7 @@ fn lsr(x: f64, y: f64, phi: f64) -> Option<Vec<RsSegment>> {
     let theta = 2.0f64.atan2(u);
     let t = mod2pi(t1 + theta);
     let v = mod2pi(t - phi);
-    Some(vec![
+    Some([
         RsSegment { kind: SegmentKind::Left, length: t },
         RsSegment { kind: SegmentKind::Straight, length: u },
         RsSegment { kind: SegmentKind::Right, length: v },
@@ -308,7 +315,7 @@ fn lsr(x: f64, y: f64, phi: f64) -> Option<Vec<RsSegment>> {
 }
 
 /// L(t) R(u) L(v) — the CCC family with a reversed middle arc.
-fn lrl(x: f64, y: f64, phi: f64) -> Option<Vec<RsSegment>> {
+fn lrl(x: f64, y: f64, phi: f64) -> Option<Word> {
     let (u1, t1) = polar(x - phi.sin(), y - 1.0 + phi.cos());
     if u1 > 4.0 {
         return None;
@@ -317,17 +324,139 @@ fn lrl(x: f64, y: f64, phi: f64) -> Option<Vec<RsSegment>> {
     let u = -2.0 * a; // middle arc driven in reverse
     let t = mod2pi(t1 + 0.5 * u + PI);
     let v = mod2pi(phi - t + u);
-    Some(vec![
+    Some([
         RsSegment { kind: SegmentKind::Left, length: t },
         RsSegment { kind: SegmentKind::Right, length: u },
         RsSegment { kind: SegmentKind::Left, length: v },
     ])
 }
 
+/// The exhaustive search: every re-branched candidate is allocated and
+/// integrated before its length is compared. It is the oracle the
+/// length-first [`search`] must match bit for bit.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// Shortest Reeds-Shepp path (over the implemented families) from `start`
+    /// to `goal` with minimum turning radius `radius`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a non-positive radius.
+    pub(super) fn shortest_path(start: Pose2, goal: Pose2, radius: f64) -> RsPath {
+        assert!(radius > 0.0, "turning radius must be positive");
+        // normalize into the canonical frame, scaled by the radius
+        let local = start.inverse().compose(goal);
+        let x = local.x / radius;
+        let y = local.y / radius;
+        let phi = local.theta;
+
+        let mut best: Option<(f64, Vec<RsSegment>)> = None;
+        let consider = |cand: Vec<RsSegment>, best: &mut Option<(f64, Vec<RsSegment>)>| {
+            let len: f64 = cand.iter().map(|s| s.length.abs()).sum();
+            if len < best.as_ref().map_or(f64::INFINITY, |(l, _)| *l) {
+                *best = Some((len, cand));
+            }
+        };
+        for cand in candidates(x, y, phi) {
+            consider(cand, &mut best);
+        }
+        // Time reversal: a word for the swapped problem (goal → start),
+        // driven backwards (reversed order, negated lengths), solves the
+        // original problem — this doubles the family coverage and often
+        // finds much shorter maneuvers (e.g. for lateral shifts).
+        let swapped = goal.inverse().compose(start);
+        for cand in candidates(swapped.x / radius, swapped.y / radius, swapped.theta) {
+            let reversed: Vec<RsSegment> = cand
+                .into_iter()
+                .rev()
+                .map(|s| RsSegment {
+                    kind: s.kind,
+                    length: -s.length,
+                })
+                .collect();
+            consider(reversed, &mut best);
+        }
+        let (_, mut segments) = best.expect("at least one RS family always succeeds");
+        // scale unit-radius lengths back to meters (arcs and straights alike)
+        for s in &mut segments {
+            s.length *= radius;
+        }
+        RsPath { segments, radius }
+    }
+
+    /// All candidate words for the normalized problem `(x, y, phi)`.
+    ///
+    /// Each closed-form word is expanded with every `±2π` re-branching of its
+    /// arc segments (an arc of `t ∈ [0, 2π)` can equivalently be driven as
+    /// `t − 2π`, i.e. the short way round in the other gear), and candidates
+    /// are kept only when they *verifiably* reach the goal — this recovers
+    /// the short cusped maneuvers (e.g. parallel-park shifts) that the three
+    /// base formulas alone miss.
+    fn candidates(x: f64, y: f64, phi: f64) -> Vec<Vec<RsSegment>> {
+        let mut out = Vec::new();
+        // base transforms: identity, timeflip, reflect, both
+        let transforms: [(f64, f64, f64, bool, bool); 4] = [
+            (x, y, phi, false, false),
+            (-x, y, -phi, true, false),
+            (x, -y, -phi, false, true),
+            (-x, -y, phi, true, true),
+        ];
+        for (tx, ty, tphi, timeflip, reflect) in transforms {
+            for word in [lsl(tx, ty, tphi), lsr(tx, ty, tphi), lrl(tx, ty, tphi)]
+                .into_iter()
+                .flatten()
+            {
+                let base = apply_symmetry(word, timeflip, reflect);
+                for variant in rebranch_arcs(&base) {
+                    if reaches(&variant, x, y, phi) {
+                        out.push(variant);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Enumerates every combination of driving each arc the long or the
+    /// short way round (`l` vs `l ∓ 2π`).
+    fn rebranch_arcs(word: &[RsSegment]) -> Vec<Vec<RsSegment>> {
+        let mut variants: Vec<Vec<RsSegment>> = vec![Vec::new()];
+        for seg in word {
+            let options: Vec<f64> = match seg.kind {
+                SegmentKind::Straight => vec![seg.length],
+                _ => {
+                    let alt = if seg.length >= 0.0 {
+                        seg.length - 2.0 * PI
+                    } else {
+                        seg.length + 2.0 * PI
+                    };
+                    vec![seg.length, alt]
+                }
+            };
+            let mut next = Vec::with_capacity(variants.len() * options.len());
+            for v in &variants {
+                for &l in &options {
+                    let mut w = v.clone();
+                    w.push(RsSegment {
+                        kind: seg.kind,
+                        length: l,
+                    });
+                    next.push(w);
+                }
+            }
+            variants = next;
+        }
+        variants
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use icoil_geom::Vec2;
+    use proptest::prelude::*;
 
     fn check_reaches(start: Pose2, goal: Pose2, radius: f64) -> RsPath {
         let path = shortest_path(start, goal, radius);
@@ -461,5 +590,82 @@ mod tests {
     #[should_panic(expected = "turning radius")]
     fn zero_radius_panics() {
         let _ = shortest_path(Pose2::default(), Pose2::new(1.0, 0.0, 0.0), 0.0);
+    }
+
+    /// Checks `shortest_path` against the oracle segment for segment and
+    /// bit for bit, length included.
+    fn matches_oracle(start: Pose2, goal: Pose2, radius: f64) -> Result<(), TestCaseError> {
+        let fast = shortest_path(start, goal, radius);
+        let slow = oracle::shortest_path(start, goal, radius);
+        let bits = |p: &RsPath| -> Vec<(SegmentKind, u64)> {
+            p.segments
+                .iter()
+                .map(|s| (s.kind, s.length.to_bits()))
+                .collect()
+        };
+        let (fast_bits, slow_bits) = (bits(&fast), bits(&slow));
+        prop_assert_eq!(
+            &fast_bits,
+            &slow_bits,
+            "{start} -> {goal} at radius {radius}: {fast_bits:?} vs {slow_bits:?}"
+        );
+        prop_assert_eq!(fast.radius.to_bits(), slow.radius.to_bits());
+        prop_assert_eq!(fast.length().to_bits(), slow.length().to_bits());
+        Ok(())
+    }
+
+    fn arb_pose(extent: f64) -> impl Strategy<Value = Pose2> {
+        (-extent..extent, -extent..extent, -PI..PI).prop_map(|(x, y, th)| Pose2::new(x, y, th))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn oracle_agrees_on_random_pose_pairs(
+            start in arb_pose(30.0),
+            goal in arb_pose(30.0),
+            radius in 2.0f64..8.0,
+        ) {
+            matches_oracle(start, goal, radius)?;
+        }
+
+        #[test]
+        fn oracle_agrees_on_near_coincident_poses(
+            start in arb_pose(30.0),
+            offset in (-1.0f64..1.0, -1.0f64..1.0, -1.0f64..1.0),
+            scale_exp in -12i32..-1,
+            radius in 2.0f64..8.0,
+        ) {
+            let eps = 10f64.powi(scale_exp);
+            let delta = Pose2::new(offset.0 * eps, offset.1 * eps, offset.2 * eps);
+            matches_oracle(start, start.compose(delta), radius)?;
+        }
+
+        #[test]
+        fn oracle_agrees_on_pure_lateral_shifts(
+            start in arb_pose(30.0),
+            shift in -8.0f64..8.0,
+            radius in 2.0f64..8.0,
+        ) {
+            matches_oracle(start, start.compose(Pose2::new(0.0, shift, 0.0)), radius)?;
+        }
+
+        #[test]
+        fn oracle_agrees_at_headings_of_plus_minus_pi(
+            start in arb_pose(30.0),
+            goal in arb_pose(30.0),
+            signs in (any::<bool>(), any::<bool>()),
+            nudge_exp in -15i32..-6,
+            radius in 2.0f64..8.0,
+        ) {
+            let at_pi = |p: Pose2, flip: bool, nudge: f64| {
+                Pose2 { theta: if flip { -PI + nudge } else { PI - nudge }, ..p }
+            };
+            let nudge = 10f64.powi(nudge_exp);
+            // exactly ±π on the start, a hair inside ±π on the goal
+            matches_oracle(at_pi(start, signs.0, 0.0), at_pi(goal, signs.1, nudge), radius)?;
+            matches_oracle(at_pi(start, signs.0, nudge), at_pi(goal, signs.1, 0.0), radius)?;
+        }
     }
 }

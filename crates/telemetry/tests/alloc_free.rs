@@ -8,15 +8,25 @@
 
 use icoil_telemetry::{FrameEvent, MemorySink, Recorder, SolveEvent};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
+/// Counts the allocations of the thread it runs on only. Test threads
+/// run side by side, and a process-wide counter would charge one test's
+/// allocations (or the libtest harness's) to another's measurement.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the slot is gone while the thread tears down
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
 
@@ -25,7 +35,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -63,25 +73,14 @@ fn event(frame: usize) -> FrameEvent<'static> {
     }
 }
 
-/// Measures the fewest allocations any `windows`×`per_window` run of
-/// `body` performs. The counter is process-wide and the libtest
-/// controller thread can allocate concurrently, so requiring one clean
-/// window separates genuine per-frame allocations (which taint every
-/// window) from harness noise.
-fn cleanest_window(windows: usize, per_window: usize, mut body: impl FnMut(usize)) -> usize {
-    let mut cleanest = usize::MAX;
-    for w in 0..windows {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for i in 0..per_window {
-            body(w * per_window + i);
-        }
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        cleanest = cleanest.min(after - before);
-        if cleanest == 0 {
-            break;
-        }
+/// Allocations the calling thread makes while running `body` for frames
+/// `0..frames`.
+fn allocations_during(frames: usize, mut body: impl FnMut(usize)) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    for i in 0..frames {
+        body(i);
     }
-    cleanest
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]
@@ -91,10 +90,10 @@ fn disabled_recorder_frames_are_allocation_free() {
     recorder.frame(&event(0));
     recorder.frame(&event(1));
 
-    let cleanest = cleanest_window(5, 50, |i| recorder.frame(&event(i)));
+    let allocations = allocations_during(250, |i| recorder.frame(&event(i)));
     assert_eq!(
-        cleanest, 0,
-        "a disabled recorder allocated at least {cleanest} times in every 50-frame window"
+        allocations, 0,
+        "a disabled recorder allocated {allocations} times in 250 frames"
     );
 }
 
@@ -111,12 +110,12 @@ fn tracing_recorder_reuses_its_line_buffer() {
     // a small constant per frame, not zero: the JSON assembly itself
     // must reuse the recorder's line buffer. Allow the sink's own
     // per-line cost with margin and nothing more.
-    let per_window = 50;
-    let cleanest = cleanest_window(5, per_window, |i| recorder.frame(&event(i)));
+    let frames = 50;
+    let allocations = allocations_during(frames, |i| recorder.frame(&event(i)));
     assert!(
-        cleanest <= 4 * per_window,
-        "tracing allocated {cleanest} times per {per_window} frames — the line buffer is not \
+        allocations <= 4 * frames,
+        "tracing allocated {allocations} times per {frames} frames — the line buffer is not \
          being reused"
     );
-    assert!(lines.lock().unwrap().len() >= per_window);
+    assert!(lines.lock().unwrap().len() >= frames);
 }

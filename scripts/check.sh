@@ -37,13 +37,19 @@
 # weight-version pinning per response, bit-identical client mirrors and
 # checksum-clean artifact round trips, then repeats under
 # ICOIL_FORCE_SCALAR=1 so retraining on the scalar kernels meets the
-# same contract. Override the fuzz case count with ICOIL_FUZZ_CASES,
-# e.g. `ICOIL_FUZZ_CASES=200 scripts/check.sh` for the full local sweep.
+# same contract. The planner and telemetry suites run on their own leg:
+# the planner's holds the Reeds-Shepp oracle proptest (the production
+# search against the exhaustive enumeration, bit for bit) and the
+# telemetry's the allocation-free recorder test, and neither package is
+# reached by the root `cargo test`. Override the fuzz case count with
+# ICOIL_FUZZ_CASES, e.g. `ICOIL_FUZZ_CASES=200 scripts/check.sh` for the
+# full local sweep.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+cargo test -q -p icoil-planner -p icoil-telemetry
 ICOIL_FORCE_SCALAR=1 cargo test -q -p icoil-solver -p icoil-nn -p icoil-co
 cargo test --release -q --test backend_e2e
 cargo clippy --all-targets -- -D warnings
