@@ -154,8 +154,7 @@ pub const MPC_REPLAN_VIOLATION: f64 = 0.1;
 ///   iterations within a frame and across frames;
 /// * the QP solver's [`QpWorkspace`] (cached Ruiz scaling, KKT
 ///   factorization — including the sparse backend's symbolic analysis,
-///   which keys on the KKT pattern and survives every value change —
-///   and adapted ρ).
+///   which keys on the KKT pattern and survives every value change).
 ///
 /// A fresh (or [`reset`](MpcMemory::reset)) memory reproduces the cold
 /// [`solve_mpc`] behaviour exactly.
@@ -179,7 +178,8 @@ pub struct MpcMemorySnapshot {
     pub controls: Option<Vec<[f64; NU]>>,
     /// Previous QP iterate (primal/dual warm start).
     pub warm: Option<QpWarmStart>,
-    /// Iterate-affecting solver workspace state (Ruiz scaling, adapted ρ).
+    /// Iterate-affecting solver workspace state (Ruiz scaling; the
+    /// recorded ρ rides along but seeds nothing).
     pub workspace: QpWorkspaceSnapshot,
 }
 

@@ -6,6 +6,7 @@
 //! training after one forward pass.
 
 use crate::init;
+use crate::simd;
 use crate::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -15,27 +16,40 @@ use serde::{Deserialize, Serialize};
 /// The buffers grow to the largest size any layer needs and are then
 /// reused verbatim, so repeated inference through the same network
 /// performs no heap allocation after the first call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InferScratch {
-    /// im2col patch matrix for [`Conv2d`].
-    cols: Tensor,
-    /// Per-sample convolution output (`[out_ch, oh·ow]`).
-    conv_y: Tensor,
+    /// One sample's input planes inside a zero border of the
+    /// convolution's padding width, read in place by [`Conv2d`].
+    padded: Vec<f32>,
+    /// Offset into `padded` of each convolution weight column's tap.
+    taps: Vec<usize>,
+    /// Row accumulators of the portable convolution kernel.
+    rows: Vec<f32>,
 }
 
 impl InferScratch {
     /// Creates empty scratch; buffers are sized lazily on first use.
     pub fn new() -> Self {
-        InferScratch {
-            cols: Tensor::zeros(vec![0]),
-            conv_y: Tensor::zeros(vec![0]),
-        }
+        InferScratch::default()
     }
 }
 
-impl Default for InferScratch {
-    fn default() -> Self {
-        InferScratch::new()
+/// The inference ReLU: `v` when positive, else `+0.0` — so NaN and
+/// `-0.0` map to `+0.0`, the value an optimized `v.max(0.0)` yields (the
+/// sign of zero `f32::max` returns is otherwise unspecified).
+#[inline(always)]
+pub(crate) fn relu(v: f32) -> f32 {
+    if v > 0.0 {
+        v
+    } else {
+        0.0
+    }
+}
+
+/// [`relu`] over a whole tensor, in place.
+pub(crate) fn relu_in_place(t: &mut Tensor) {
+    for v in t.data_mut() {
+        *v = relu(*v);
     }
 }
 
@@ -47,7 +61,7 @@ impl Default for InferScratch {
 pub enum LayerKind {
     /// Fully-connected layer.
     Dense(Dense),
-    /// 2-D convolution (im2col).
+    /// 2-D convolution (im2col in training, direct at inference).
     Conv2d(Conv2d),
     /// 2-D max pooling.
     MaxPool2d(MaxPool2d),
@@ -114,13 +128,11 @@ impl LayerKind {
     pub fn infer_into(&self, x: &Tensor, out: &mut Tensor, scratch: &mut InferScratch) {
         match self {
             LayerKind::Dense(l) => l.infer_into(x, out),
-            LayerKind::Conv2d(l) => l.infer_into(x, out, scratch),
+            LayerKind::Conv2d(l) => l.infer_into(x, out, scratch, false),
             LayerKind::MaxPool2d(l) => l.infer_into(x, out),
             LayerKind::ReLU(_) => {
                 out.copy_from(x);
-                for v in out.data_mut() {
-                    *v = v.max(0.0);
-                }
+                relu_in_place(out);
             }
             LayerKind::Flatten(_) => {
                 let n = x.shape()[0];
@@ -267,7 +279,8 @@ impl Dense {
     }
 }
 
-/// 2-D convolution implemented with im2col.
+/// 2-D convolution: im2col + GEMM in training, a direct kernel over a
+/// zero-bordered copy of the input at inference (same bits).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv2d {
     in_ch: usize,
@@ -439,51 +452,69 @@ impl Conv2d {
         dx
     }
 
-    fn infer_into(&self, x: &Tensor, out: &mut Tensor, scratch: &mut InferScratch) {
+    /// Inference forward pass into `out`, bit-identical to
+    /// `forward(x, false)` (then ReLU and a 2×2 max pool when `pool`).
+    ///
+    /// Each sample is staged once into a zero-bordered copy of its
+    /// planes, which the kernel reads in place: the bordered copy is a
+    /// ninth of the im2col matrix and the GEMM result lands in `out`
+    /// directly, with the bias (and, fused, ReLU and pooling) applied on
+    /// the way out of the registers.
+    pub(crate) fn infer_into(
+        &self,
+        x: &Tensor,
+        out: &mut Tensor,
+        scratch: &mut InferScratch,
+        pool: bool,
+    ) {
         let shape = x.shape();
         assert_eq!(shape.len(), 4, "Conv2d expects [n, c, h, w]");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         assert_eq!(c, self.in_ch, "Conv2d channel mismatch");
         let (oh, ow) = (self.out_dim(h), self.out_dim(w));
-        out.resize(&[n, self.out_ch, oh, ow]);
+        let (out_h, out_w) = if pool { (oh / 2, ow / 2) } else { (oh, ow) };
+        out.resize(&[n, self.out_ch, out_h, out_w]);
+        let (p, k) = (self.padding, self.kernel);
+        let row_stride = w + 2 * p;
+        let plane = (h + 2 * p) * row_stride;
+        scratch.taps.clear();
+        for ch in 0..c {
+            for ky in 0..k {
+                scratch.taps.extend((0..k).map(|kx| ch * plane + ky * row_stride + kx));
+            }
+        }
+        // the border is never written below, so it stays zero for every
+        // sample of the batch
+        scratch.padded.clear();
+        scratch.padded.resize(c * plane, 0.0);
+        let plan = simd::ConvPlan {
+            weight: self.weight.data(),
+            bias: self.bias.data(),
+            taps: &scratch.taps,
+            row_stride,
+            stride: self.stride,
+            oh,
+            ow,
+            pool,
+        };
         let sample_len = c * h * w;
-        let out_sample_len = self.out_ch * oh * ow;
+        let out_sample_len = self.out_ch * out_h * out_w;
         for i in 0..n {
             let sample = &x.data()[i * sample_len..(i + 1) * sample_len];
-            self.im2col_into(sample, h, w, oh, ow, &mut scratch.cols);
-            self.weight.matmul_into(&scratch.cols, &mut scratch.conv_y);
-            for (ch, b) in self.bias.data().iter().enumerate() {
-                let row = &mut scratch.conv_y.data_mut()[ch * oh * ow..(ch + 1) * oh * ow];
-                for v in row {
-                    *v += b;
-                }
+            for (y, src) in sample.chunks_exact(w.max(1)).enumerate() {
+                let (ch, iy) = (y / h, y % h);
+                let start = ch * plane + (iy + p) * row_stride + p;
+                scratch.padded[start..start + w].copy_from_slice(src);
             }
-            out.data_mut()[i * out_sample_len..(i + 1) * out_sample_len]
-                .copy_from_slice(scratch.conv_y.data());
+            let dst = &mut out.data_mut()[i * out_sample_len..(i + 1) * out_sample_len];
+            simd::conv2d(&plan, &scratch.padded, dst, &mut scratch.rows);
         }
     }
 
     fn im2col(&self, sample: &[f32], h: usize, w: usize, oh: usize, ow: usize) -> Tensor {
-        let mut cols = Tensor::zeros(vec![0]);
-        self.im2col_into(sample, h, w, oh, ow, &mut cols);
-        cols
-    }
-
-    fn im2col_into(
-        &self,
-        sample: &[f32],
-        h: usize,
-        w: usize,
-        oh: usize,
-        ow: usize,
-        out: &mut Tensor,
-    ) {
         let k = self.kernel;
-        let rows = self.in_ch * k * k;
-        out.resize(&[rows, oh * ow]);
-        // Padded positions are skipped below, so the buffer must start
-        // zeroed on every use (it is reused across calls).
-        out.data_mut().fill(0.0);
+        // padded positions are skipped below and stay zero
+        let mut out = Tensor::zeros(vec![self.in_ch * k * k, oh * ow]);
         let cols = out.data_mut();
         for c in 0..self.in_ch {
             let plane = &sample[c * h * w..(c + 1) * h * w];
@@ -524,6 +555,7 @@ impl Conv2d {
                 }
             }
         }
+        out
     }
 
     fn col2im(&self, dcols: &Tensor, dst: &mut [f32], h: usize, w: usize, oh: usize, ow: usize) {
@@ -845,6 +877,15 @@ mod tests {
         let g = Tensor::full(vec![1, 4], 1.0);
         let dx = r.backward(&g);
         assert_eq!(dx.data(), &[0., 1., 0., 1.]);
+    }
+
+    #[test]
+    fn inference_relu_pins_the_sign_of_zero() {
+        assert_eq!(relu(-0.0).to_bits(), 0);
+        assert_eq!(relu(f32::NAN).to_bits(), 0);
+        assert_eq!(relu(-3.0), 0.0);
+        assert_eq!(relu(2.5), 2.5);
+        assert_eq!(relu(f32::INFINITY), f32::INFINITY);
     }
 
     #[test]

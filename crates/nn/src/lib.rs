@@ -8,8 +8,8 @@
 //! else — with reverse-mode autodiff hand-derived per layer:
 //!
 //! * [`Tensor`] — dense row-major `f32` tensors;
-//! * [`layer`] — `Dense`, `Conv2d` (im2col), `MaxPool2d`, `ReLU`,
-//!   `Flatten`;
+//! * [`layer`] — `Dense`, `Conv2d` (im2col in training, a direct
+//!   kernel at inference), `MaxPool2d`, `ReLU`, `Flatten`;
 //! * [`Network`] — a sequential container with forward/backward;
 //! * [`loss`] — softmax cross-entropy (eq. 3) and accuracy;
 //! * [`optim`] — SGD with momentum and Adam;

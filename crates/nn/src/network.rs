@@ -1,6 +1,6 @@
 //! Sequential network container.
 
-use crate::layer::{InferScratch, LayerKind};
+use crate::layer::{relu_in_place, InferScratch, LayerKind};
 use crate::loss::{softmax, softmax_in_place};
 use crate::Tensor;
 use serde::{Deserialize, Serialize};
@@ -133,15 +133,48 @@ impl Network {
 
     /// Ping-pongs the already-staged `buf.ping` input through the layer
     /// stack; returns `true` when the result landed in `buf.ping`.
+    ///
+    /// Layers that only relabel or clamp their input run in place —
+    /// ReLU clamps the current buffer, Flatten reshapes it, Dropout (the
+    /// identity at inference) is skipped — and a Conv2d → ReLU →
+    /// MaxPool2d(2) run is one fused convolution whose epilogue applies
+    /// the ReLU and the pool. Every value is the one the layer-by-layer
+    /// `forward(x, false)` computes.
     fn run_layers(&self, buf: &mut InferBuffers) -> bool {
+        let InferBuffers { ping, pong, scratch } = buf;
         let mut in_ping = true;
-        for layer in &self.layers {
-            if in_ping {
-                layer.infer_into(&buf.ping, &mut buf.pong, &mut buf.scratch);
+        let mut i = 0;
+        while i < self.layers.len() {
+            let (cur, next) = if in_ping {
+                (&mut *ping, &mut *pong)
             } else {
-                layer.infer_into(&buf.pong, &mut buf.ping, &mut buf.scratch);
+                (&mut *pong, &mut *ping)
+            };
+            match &self.layers[i] {
+                LayerKind::Conv2d(conv) => {
+                    let pool = matches!(self.layers.get(i + 1), Some(LayerKind::ReLU(_)))
+                        && matches!(
+                            self.layers.get(i + 2),
+                            Some(LayerKind::MaxPool2d(p)) if p.size() == 2
+                        );
+                    conv.infer_into(cur, next, scratch, pool);
+                    in_ping = !in_ping;
+                    i += if pool { 3 } else { 1 };
+                    continue;
+                }
+                LayerKind::ReLU(_) => relu_in_place(cur),
+                LayerKind::Flatten(_) => {
+                    let n = cur.shape()[0];
+                    let rest: usize = cur.shape()[1..].iter().product();
+                    cur.reshape_in_place(&[n, rest]);
+                }
+                LayerKind::Dropout(_) => {}
+                layer => {
+                    layer.infer_into(cur, next, scratch);
+                    in_ping = !in_ping;
+                }
             }
-            in_ping = !in_ping;
+            i += 1;
         }
         in_ping
     }
@@ -281,8 +314,10 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::Conv2d;
     use crate::loss;
     use crate::optim::{Optimizer, Sgd};
+    use crate::simd::{self, KernelBackend};
 
     #[test]
     fn il_architecture_shapes() {
@@ -391,6 +426,158 @@ mod tests {
                     "batch {n} row {i} diverged from forward()"
                 );
             }
+        }
+    }
+
+    /// The kernel backends this host can run.
+    fn backends() -> Vec<KernelBackend> {
+        let mut out = vec![KernelBackend::Scalar];
+        if simd::detected() == KernelBackend::Avx2 {
+            out.push(KernelBackend::Avx2);
+        }
+        out
+    }
+
+    /// Randomizes every bias and zeroes every seventh weight of the first
+    /// layer, so the oracle sees nonzero biases and kernels both with and
+    /// without the zero-weight skip.
+    fn perturb(net: &mut Network, seed: u64) {
+        for (i, (param, _)) in net.params_grads().into_iter().enumerate() {
+            if i % 2 == 1 {
+                let len = param.len();
+                let noise = crate::init::uniform(vec![len], -0.3, 0.3, seed + i as u64);
+                param.data_mut().copy_from_slice(noise.data());
+            } else if i == 0 {
+                for v in param.data_mut().iter_mut().step_by(7) {
+                    *v = 0.0;
+                }
+            }
+        }
+    }
+
+    /// `n` inputs whose border pixels (the ones padding taps sit next
+    /// to) are pushed to large magnitudes.
+    fn edged_input(n: usize, c: usize, h: usize, w: usize, seed: u64) -> Tensor {
+        let mut x = crate::init::uniform(vec![n, c, h, w], -1.0, 1.0, seed);
+        for (i, v) in x.data_mut().iter_mut().enumerate() {
+            let (y, col) = ((i / w) % h, i % w);
+            if y == 0 || col == 0 || y == h - 1 || col == w - 1 {
+                *v *= 1e3;
+            }
+        }
+        x
+    }
+
+    /// The fused, copy-free inference loop against the layer-by-layer
+    /// training `forward(x, false)` — im2col, GEMM, bias, then ReLU and
+    /// pooling as separate passes, which is the former inference path
+    /// op for op — on every backend, at batch widths 1, 7 and 32, for
+    /// shapes that take the tiled AVX2 kernel (with and without the
+    /// fused pool) and ones that fall back to the portable kernel.
+    #[test]
+    fn fused_inference_matches_layer_by_layer_forward() {
+        let odd = |seed| {
+            Network::new(vec![
+                LayerKind::conv2d(2, 5, 3, seed),
+                LayerKind::relu(),
+                LayerKind::maxpool2d(2),
+                LayerKind::Conv2d(Conv2d::new(5, 6, 3, 2, 1, seed + 1)),
+                LayerKind::relu(),
+                LayerKind::flatten(),
+                LayerKind::dense(6 * 3 * 3, 4, seed + 2),
+            ])
+        };
+        let unpooled = |seed| {
+            Network::new(vec![
+                LayerKind::conv2d(2, 7, 3, seed),
+                LayerKind::flatten(),
+                LayerKind::dropout(0.5, seed + 1),
+                LayerKind::dense(7 * 16 * 16, 3, seed + 2),
+            ])
+        };
+        let wide_pool = |seed| {
+            Network::new(vec![
+                LayerKind::conv2d(2, 4, 3, seed),
+                LayerKind::relu(),
+                LayerKind::maxpool2d(4),
+                LayerKind::flatten(),
+                LayerKind::dense(4 * 4 * 4, 3, seed + 1),
+            ])
+        };
+        let cases: Vec<(Network, [usize; 3])> = vec![
+            (Network::il_architecture((3, 32, 32), 21, 3), [3, 32, 32]),
+            (odd(5), [2, 10, 12]),
+            (unpooled(8), [2, 16, 16]),
+            (wide_pool(11), [2, 16, 16]),
+        ];
+        for (ci, (mut net, [c, h, w])) in cases.into_iter().enumerate() {
+            perturb(&mut net, 40 + ci as u64);
+            for backend in backends() {
+                simd::with_backend(backend, || {
+                    let mut buf = InferBuffers::new();
+                    let mut out = Tensor::default();
+                    for n in [1usize, 7, 32] {
+                        let x = edged_input(n, c, h, w, 90 + n as u64);
+                        let reference = net.forward(&x, false);
+                        let what = format!("case {ci} {backend:?} batch {n}");
+                        let fused = net.infer_logits(&x, &mut buf);
+                        assert_eq!(fused.data(), reference.data(), "{what}");
+                        let len = c * h * w;
+                        let samples: Vec<&[f32]> = x.data().chunks(len).collect();
+                        net.forward_batch_into(&samples, &[c, h, w], &mut buf, &mut out);
+                        assert_eq!(out.data(), reference.data(), "{what} (batched)");
+                    }
+                });
+            }
+        }
+    }
+
+    /// Padding taps are multiplied, not skipped: an infinite weight
+    /// turns a padding tap into NaN (∞·0) exactly as the im2col GEMM
+    /// does, and the ReLU then maps it to +0.0 on both paths.
+    #[test]
+    fn padding_taps_are_multiplied_like_the_gemm() {
+        let mut net = Network::new(vec![
+            LayerKind::conv2d(1, 4, 3, 2),
+            LayerKind::relu(),
+            LayerKind::flatten(),
+        ]);
+        net.params_grads()[0].0.data_mut()[0] = f32::INFINITY;
+        let x = crate::init::uniform(vec![2, 1, 8, 16], 0.5, 1.0, 4);
+        for backend in backends() {
+            simd::with_backend(backend, || {
+                let reference = net.forward(&x, false);
+                let mut buf = InferBuffers::new();
+                let fused = net.infer_logits(&x, &mut buf);
+                assert_eq!(fused.data(), reference.data(), "{backend:?}");
+                // pixel (0, 0) met the ∞ weight at a padding tap: NaN → 0;
+                // pixel (1, 1) met it on a positive input: ∞
+                assert_eq!(fused.data()[0].to_bits(), 0);
+                assert_eq!(fused.data()[16 + 1], f32::INFINITY);
+            });
+        }
+    }
+
+    /// Zero weights are skipped, not multiplied: next to an infinite
+    /// input a delta kernel's zero taps would give 0·∞ = NaN, but both
+    /// paths skip them and pass the neighbors through finite.
+    #[test]
+    fn zero_weights_are_skipped_like_the_gemm() {
+        let mut net = Network::new(vec![LayerKind::conv2d(1, 4, 3, 2), LayerKind::flatten()]);
+        for (i, v) in net.params_grads()[0].0.data_mut().iter_mut().enumerate() {
+            *v = if i % 9 == 4 { 1.0 } else { 0.0 };
+        }
+        let mut x = crate::init::uniform(vec![1, 1, 8, 16], 0.5, 1.0, 4);
+        x.data_mut()[3 * 16 + 5] = f32::INFINITY;
+        for backend in backends() {
+            simd::with_backend(backend, || {
+                let reference = net.forward(&x, false);
+                let mut buf = InferBuffers::new();
+                let fused = net.infer_logits(&x, &mut buf);
+                assert_eq!(fused.data(), reference.data(), "{backend:?}");
+                assert_eq!(fused.data()[3 * 16 + 5], f32::INFINITY);
+                assert!(fused.data()[3 * 16 + 4].is_finite(), "{backend:?}");
+            });
         }
     }
 

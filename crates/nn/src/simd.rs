@@ -113,6 +113,7 @@ pub fn kernel_modes() -> &'static [(&'static str, &'static str)] {
         ("matmul_f32", "ulp"),
         ("matmul_nt_f32", "ulp"),
         ("im2col_f32", "bitwise"),
+        ("conv2d_f32", "ulp"),
         ("gemm_nt_i8", "bitwise"),
         ("requant_u8", "bitwise"),
         ("quantize_u8", "bitwise"),
@@ -342,6 +343,295 @@ unsafe fn matmul_nt_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out
                 sum = a_row[kk].mul_add(b_row[kk], sum);
             }
             out[i * n + j] = sum;
+        }
+    }
+}
+
+/// One stride-`stride` convolution of a single sample, read in place from
+/// a zero-bordered input ("implicit im2col"): no patch matrix is built.
+///
+/// Tap `t` of output pixel `(oy, ox)` reads
+/// `x[(oy·stride)·row_stride + ox·stride + taps[t]]`, where `taps` lists
+/// each weight column's offset into the bordered planes — so column `t`
+/// of the im2col matrix is read where it lies, padding taps included
+/// (they read the zero border).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ConvPlan<'a> {
+    /// `[out_ch, taps.len()]` weights, row-major.
+    pub weight: &'a [f32],
+    /// `[out_ch]` biases.
+    pub bias: &'a [f32],
+    /// Offset of each weight column's input element, relative to the
+    /// pixel's top-left tap.
+    pub taps: &'a [usize],
+    /// Elements per row of the bordered input planes.
+    pub row_stride: usize,
+    /// Convolution stride.
+    pub stride: usize,
+    /// Output height.
+    pub oh: usize,
+    /// Output width.
+    pub ow: usize,
+    /// Fuse ReLU and a 2×2 max pool into the epilogue: `out` is then
+    /// `[out_ch, oh/2, ow/2]` instead of `[out_ch, oh, ow]`.
+    pub pool: bool,
+}
+
+/// Runs `plan` over the bordered input `x` into `out`.
+///
+/// # Determinism contract
+///
+/// Mode `"ulp"`, like [`matmul`], and for the same reason: every output
+/// element accumulates exactly as `matmul(weight, im2col(x))` would —
+/// from `+0.0`, over the taps in ascending order, skipping zero weights,
+/// one FMA per tap on AVX2 and a multiply then an add on scalar — and
+/// then adds its bias. Padding taps are not skipped: they multiply the
+/// zero border just as the im2col matrix's zeros were multiplied. So the
+/// result equals the im2col GEMM bit for bit on each backend, whatever
+/// the tiling. With `pool`, each value then goes through
+/// [`relu`](crate::layer::relu) and the 2×2 window maximum: ReLU leaves
+/// no NaN and no `-0.0`, so any maximum order gives the same bits.
+///
+/// `rows` is scratch for the portable path (at least `2·ow` after use).
+///
+/// # Panics
+///
+/// Panics when `x` is too short for the plan's reads or `out` for its
+/// writes.
+pub(crate) fn conv2d(plan: &ConvPlan, x: &[f32], out: &mut [f32], rows: &mut Vec<f32>) {
+    let m = plan.bias.len();
+    let k = plan.taps.len();
+    assert_eq!(plan.weight.len(), m * k, "conv weight shape");
+    if m == 0 || plan.oh == 0 || plan.ow == 0 {
+        return;
+    }
+    let last = (plan.oh - 1) * plan.stride * plan.row_stride
+        + (plan.ow - 1) * plan.stride
+        + plan.taps.iter().copied().max().unwrap_or(0);
+    assert!(k == 0 || last < x.len(), "conv input too short for its taps");
+    let plane = if plan.pool {
+        (plan.oh / 2) * (plan.ow / 2)
+    } else {
+        plan.oh * plan.ow
+    };
+    assert!(out.len() >= m * plane, "conv output too short");
+    match active() {
+        KernelBackend::Scalar => conv2d_portable::<false>(plan, x, out, rows),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: avx2+fma verified before dispatch (as in `matmul`), and
+        // the asserts above bound every read of `x` and write of `out`.
+        KernelBackend::Avx2 => unsafe {
+            if plan.stride == 1 && plan.oh.is_multiple_of(2) && plan.ow.is_multiple_of(8) {
+                conv2d_avx2(plan, x, out)
+            } else {
+                conv2d_portable_fma(plan, x, out, rows)
+            }
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        KernelBackend::Avx2 => conv2d_portable::<true>(plan, x, out, rows),
+    }
+}
+
+/// One output row of one channel: `acc[ox]` accumulates the taps of
+/// pixel `(row, ox)`, `base` being the row's first input offset.
+#[inline(always)]
+fn conv_row<const FMA: bool>(
+    plan: &ConvPlan,
+    w_row: &[f32],
+    x: &[f32],
+    base: usize,
+    acc: &mut [f32],
+) {
+    acc.fill(0.0);
+    let len = acc.len();
+    for (&a, &tap) in w_row.iter().zip(plan.taps) {
+        if a == 0.0 {
+            continue;
+        }
+        let src = &x[base + tap..];
+        if plan.stride == 1 {
+            for (o, &v) in acc.iter_mut().zip(&src[..len]) {
+                *o = if FMA { a.mul_add(v, *o) } else { *o + a * v };
+            }
+        } else {
+            for (o, v) in acc.iter_mut().zip(src.iter().step_by(plan.stride)) {
+                *o = if FMA { a.mul_add(*v, *o) } else { *o + a * v };
+            }
+        }
+    }
+}
+
+/// The portable kernel: row-at-a-time accumulation (the inner loop runs
+/// along a row, as the scalar GEMM's does), then the epilogue.
+#[inline(always)]
+fn conv2d_portable<const FMA: bool>(
+    plan: &ConvPlan,
+    x: &[f32],
+    out: &mut [f32],
+    rows: &mut Vec<f32>,
+) {
+    let (oh, ow) = (plan.oh, plan.ow);
+    let k = plan.taps.len();
+    let row_step = plan.stride * plan.row_stride;
+    rows.resize(2 * ow, 0.0);
+    let (r0, r1) = rows.split_at_mut(ow);
+    for (co, &b) in plan.bias.iter().enumerate() {
+        let w_row = &plan.weight[co * k..(co + 1) * k];
+        if plan.pool {
+            let (ph, pw) = (oh / 2, ow / 2);
+            for py in 0..ph {
+                conv_row::<FMA>(plan, w_row, x, 2 * py * row_step, r0);
+                conv_row::<FMA>(plan, w_row, x, (2 * py + 1) * row_step, r1);
+                let dst = &mut out[(co * ph + py) * pw..(co * ph + py + 1) * pw];
+                for (px, d) in dst.iter_mut().enumerate() {
+                    let window = [r0[2 * px], r0[2 * px + 1], r1[2 * px], r1[2 * px + 1]];
+                    let mut best = f32::NEG_INFINITY;
+                    for v in window {
+                        let v = crate::layer::relu(v + b);
+                        if v > best {
+                            best = v;
+                        }
+                    }
+                    *d = best;
+                }
+            }
+        } else {
+            for oy in 0..oh {
+                let dst = &mut out[(co * oh + oy) * ow..(co * oh + oy + 1) * ow];
+                conv_row::<FMA>(plan, w_row, x, oy * row_step, dst);
+                for v in dst {
+                    *v += b;
+                }
+            }
+        }
+    }
+}
+
+/// [`conv2d_portable`] with hardware FMA, for AVX2-backend shapes the
+/// tiled kernel does not cover.
+///
+/// # Safety
+///
+/// avx2+fma must be available.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn conv2d_portable_fma(plan: &ConvPlan, x: &[f32], out: &mut [f32], rows: &mut Vec<f32>) {
+    conv2d_portable::<true>(plan, x, out, rows)
+}
+
+/// The tiled AVX2 kernel for stride 1, even `oh` and `ow % 8 == 0`.
+///
+/// A tile is `R` output channels × a 2-row × 8-column pixel block, held
+/// in `2R` ymm accumulators across all taps: per tap, two input-row
+/// loads serve `R` weight broadcasts and `2R` FMA chains — the GEMM's
+/// 4×16 register tile with the patch matrix read in place. The 2×8
+/// shape is also exactly four 2×2 pooling windows per channel, so the
+/// fused epilogue pools straight out of the registers.
+///
+/// # Safety
+///
+/// avx2+fma must be available, the plan must have stride 1, even `oh`
+/// and `ow % 8 == 0`, and `x`/`out` must pass [`conv2d`]'s asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn conv2d_avx2(plan: &ConvPlan, x: &[f32], out: &mut [f32]) {
+    const MR: usize = 4;
+    let m = plan.bias.len();
+    let m_main = m - m % MR;
+    let mut co = 0;
+    let k = plan.taps.len();
+    // Zero weights must be skipped, as the GEMM skips them (0·∞ would
+    // otherwise turn into NaN); a weight block without any zero needs no
+    // per-tap test, which keeps the branch out of the FMA stream.
+    let has_zero =
+        |rows: std::ops::Range<usize>| plan.weight[rows.start * k..rows.end * k].contains(&0.0);
+    while co < m_main {
+        // SAFETY: co + MR <= m; the dispatcher bounds x and out.
+        unsafe {
+            if has_zero(co..co + MR) {
+                conv_tile_avx2::<MR, true>(plan, co, x, out)
+            } else {
+                conv_tile_avx2::<MR, false>(plan, co, x, out)
+            }
+        };
+        co += MR;
+    }
+    for co in m_main..m {
+        // SAFETY: as above, one channel.
+        unsafe { conv_tile_avx2::<1, true>(plan, co, x, out) };
+    }
+}
+
+/// Channels `co..co + R` of [`conv2d_avx2`]; `SKIP` tests each weight
+/// for zero (callers may clear it only for blocks without zeros).
+///
+/// # Safety
+///
+/// avx2+fma must be available, `co + R` must not exceed the channel
+/// count, and `x`/`out` must satisfy [`conv2d`]'s bounds asserts.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn conv_tile_avx2<const R: usize, const SKIP: bool>(
+    plan: &ConvPlan,
+    co: usize,
+    x: &[f32],
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    // SAFETY (whole function): every x read is at most `(oh - 1)·rs +
+    // ow - 1 + max(taps)`, the bound `conv2d` asserts; weight reads stay
+    // below `(co + R)·k`; every out write stays below `m·plane`.
+    unsafe {
+        let (oh, ow, rs) = (plan.oh, plan.ow, plan.row_stride);
+        let k = plan.taps.len();
+        let w = plan.weight.as_ptr().add(co * k);
+        let xp = x.as_ptr();
+        let op = out.as_mut_ptr();
+        let zero = _mm256_setzero_ps();
+        // lanes 0, 2, 4, 6 — where the pairwise maxima land
+        let evens = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+        let mut oy = 0;
+        while oy < oh {
+            let mut ox = 0;
+            while ox < ow {
+                let base0 = xp.add(oy * rs + ox);
+                let base1 = base0.add(rs);
+                let mut acc = [[zero; 2]; R];
+                for (t, &tap) in plan.taps.iter().enumerate() {
+                    let b0 = _mm256_loadu_ps(base0.add(tap));
+                    let b1 = _mm256_loadu_ps(base1.add(tap));
+                    for (r, accr) in acc.iter_mut().enumerate() {
+                        let a = *w.add(r * k + t);
+                        if SKIP && a == 0.0 {
+                            continue;
+                        }
+                        let va = _mm256_set1_ps(a);
+                        accr[0] = _mm256_fmadd_ps(va, b0, accr[0]);
+                        accr[1] = _mm256_fmadd_ps(va, b1, accr[1]);
+                    }
+                }
+                for (r, accr) in acc.iter().enumerate() {
+                    let vb = _mm256_set1_ps(plan.bias[co + r]);
+                    let v0 = _mm256_add_ps(accr[0], vb);
+                    let v1 = _mm256_add_ps(accr[1], vb);
+                    if plan.pool {
+                        // ReLU as `relu`: max_ps returns its second operand
+                        // (+0.0) for NaN and for ±0.0
+                        let v = _mm256_max_ps(_mm256_max_ps(v0, zero), _mm256_max_ps(v1, zero));
+                        let pairs = _mm256_max_ps(v, _mm256_permute_ps::<0b10_11_00_01>(v));
+                        let pooled = _mm256_permutevar8x32_ps(pairs, evens);
+                        let (ph, pw) = (oh / 2, ow / 2);
+                        let dst = op.add(((co + r) * ph + oy / 2) * pw + ox / 2);
+                        _mm_storeu_ps(dst, _mm256_castps256_ps128(pooled));
+                    } else {
+                        let dst = op.add(((co + r) * oh + oy) * ow + ox);
+                        _mm256_storeu_ps(dst, v0);
+                        _mm256_storeu_ps(dst.add(ow), v1);
+                    }
+                }
+                ox += 8;
+            }
+            oy += 2;
         }
     }
 }
@@ -818,7 +1108,7 @@ mod tests {
     #[test]
     fn kernel_mode_table_is_complete() {
         let modes = kernel_modes();
-        assert_eq!(modes.len(), 6);
+        assert_eq!(modes.len(), 7);
         for (kernel, mode) in modes {
             assert!(
                 *mode == "bitwise" || *mode == "ulp",

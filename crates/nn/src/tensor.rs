@@ -137,6 +137,22 @@ impl Tensor {
         }
     }
 
+    /// [`Tensor::reshaped`] in place: only the shape changes, the data
+    /// stays where it is.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the element counts differ.
+    pub(crate) fn reshape_in_place(&mut self, shape: &[usize]) {
+        assert_eq!(
+            shape.iter().product::<usize>(),
+            self.data.len(),
+            "reshape must preserve the element count"
+        );
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+    }
+
     /// Number of rows of a matrix (`shape[0]`), or the leading dimension.
     ///
     /// # Panics

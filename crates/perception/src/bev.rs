@@ -1,6 +1,6 @@
 //! Ego-centric bird's-eye-view rendering (the BEV transformer `g`).
 
-use icoil_geom::{Obb, Vec2};
+use icoil_geom::{Obb, Vec2, EPS};
 use icoil_vehicle::VehicleState;
 use icoil_world::{NoiseConfig, ParkingMap};
 use rand::rngs::SmallRng;
@@ -116,25 +116,35 @@ impl BevRenderer {
     ) -> BevImage {
         let s = self.config.size;
         let mut data = vec![0.0f32; BevImage::CHANNELS * s * s];
-        let res = self.config.resolution();
-        let bay = map.bay();
+        let range = self.config.range;
         let bounds = map.bounds();
         // channel 2: constant normalized-speed plane
         let v_norm = (ego.velocity / 2.5).clamp(-1.0, 1.0) as f32;
         data[2 * s * s..].iter_mut().for_each(|v| *v = v_norm);
-        for row in 0..s {
-            for col in 0..s {
-                // ego frame: +x forward (columns), +y left (rows upward);
-                // row 0 is the left-most (+y) edge.
-                let ex = -self.config.range + (col as f64 + 0.5) * res;
-                let ey = self.config.range - (row as f64 + 0.5) * res;
-                let world = ego.pose.to_world(Vec2::new(ex, ey));
-                let occupied = !bounds.contains(world)
-                    || obstacles.iter().any(|o| o.contains(world));
+        let (cols, rows) = self.pixel_products(ego.pose.theta);
+        // Every pixel center lies within `range·√2` of the ego, so a box
+        // whose center is farther than that plus its half-diagonal (and a
+        // 1 m margin that dwarfs any rounding) contains none of them.
+        let reach = range * std::f64::consts::SQRT_2 + 1.0;
+        let near = |o: &Obb| {
+            let r = reach + o.half_length + o.half_width;
+            let (dx, dy) = (o.center.x - ego.pose.x, o.center.y - ego.pose.y);
+            // NaN distances stay in (and then contain nothing, as before)
+            let far = dx * dx + dy * dy > r * r;
+            !far
+        };
+        let boxes: Vec<LocalObb> =
+            obstacles.iter().filter(|o| near(o)).map(LocalObb::new).collect();
+        let bay = Some(map.bay()).filter(near).map(|b| LocalObb::new(&b));
+        for (row, &row_products) in rows.iter().enumerate() {
+            for (col, &col_products) in cols.iter().enumerate() {
+                let world = pixel_world(ego, col_products, row_products);
+                let occupied =
+                    !bounds.contains(world) || boxes.iter().any(|o| o.contains(world));
                 if occupied {
                     data[row * s + col] = 1.0;
                 }
-                if bay.contains(world) {
+                if bay.as_ref().is_some_and(|b| b.contains(world)) {
                     data[(s + row) * s + col] = 1.0;
                 }
             }
@@ -146,6 +156,78 @@ impl BevRenderer {
             range: self.config.range,
             data,
         }
+    }
+
+    /// `Pose2::to_world` of a pixel center is `position +
+    /// local.rotated(theta)`, and its four products depend on the column
+    /// or the row alone: `(cos·ex, sin·ex)` per column and `(sin·ey,
+    /// cos·ey)` per row, taken here once with the same operands.
+    fn pixel_products(&self, theta: f64) -> (Vec<Products>, Vec<Products>) {
+        let (s, range) = (self.config.size, self.config.range);
+        let res = self.config.resolution();
+        let (sin, cos) = theta.sin_cos();
+        let mut cols = Vec::with_capacity(s);
+        let mut rows = Vec::with_capacity(s);
+        for i in 0..s {
+            // ego frame: +x forward (columns), +y left (rows upward);
+            // row 0 is the left-most (+y) edge.
+            let ex = -range + (i as f64 + 0.5) * res;
+            let ey = range - (i as f64 + 0.5) * res;
+            cols.push((cos * ex, sin * ex));
+            rows.push((sin * ey, cos * ey));
+        }
+        (cols, rows)
+    }
+}
+
+/// The rotation products of one pixel column, `(cos·ex, sin·ex)`, or
+/// row, `(sin·ey, cos·ey)`.
+type Products = (f64, f64);
+
+/// The world position of a pixel center from its column and row products
+/// ([`BevRenderer::pixel_products`]): `Pose2::to_world`'s sums in its
+/// order, so the same bits.
+fn pixel_world(
+    ego: &VehicleState,
+    (cos_ex, sin_ex): Products,
+    (sin_ey, cos_ey): Products,
+) -> Vec2 {
+    Vec2::new(ego.pose.x + (cos_ex - sin_ey), ego.pose.y + (sin_ex + cos_ey))
+}
+
+/// An [`Obb`] with its inverse rotation taken once: [`LocalObb::contains`]
+/// is [`Obb::contains`] with the `(-theta).sin_cos()` hoisted out of the
+/// per-point test — the same call on the same argument and the same
+/// operations in the same order, so the answer is the same bit for bit.
+struct LocalObb {
+    center: Vec2,
+    sin: f64,
+    cos: f64,
+    half_length: f64,
+    half_width: f64,
+}
+
+impl LocalObb {
+    fn new(o: &Obb) -> Self {
+        let (sin, cos) = (-o.theta).sin_cos();
+        LocalObb {
+            center: o.center,
+            sin,
+            cos,
+            half_length: o.half_length + EPS,
+            half_width: o.half_width + EPS,
+        }
+    }
+
+    /// `(p - center).rotated(-theta)`, as [`Obb::contains`] computes it.
+    fn local(&self, p: Vec2) -> Vec2 {
+        let d = p - self.center;
+        Vec2::new(self.cos * d.x - self.sin * d.y, self.sin * d.x + self.cos * d.y)
+    }
+
+    fn contains(&self, p: Vec2) -> bool {
+        let local = self.local(p);
+        local.x.abs() <= self.half_length && local.y.abs() <= self.half_width
     }
 }
 
@@ -299,6 +381,132 @@ mod tests {
         let img_wall = r.render(&near_wall, &[], &s.map, &NoiseConfig::none(), &mut rng);
         let img_mid = r.render(&mid_lot, &[], &s.map, &NoiseConfig::none(), &mut rng);
         assert!(img_wall.obstacle_density() > img_mid.obstacle_density());
+    }
+
+    /// The former rasterizer, kept as the oracle: `to_world` and
+    /// `Obb::contains` (each with its own `sin_cos`) per pixel, every
+    /// obstacle tested.
+    fn render_reference(
+        r: &BevRenderer,
+        ego: &VehicleState,
+        obstacles: &[Obb],
+        map: &ParkingMap,
+        noise: &NoiseConfig,
+        rng: &mut SmallRng,
+    ) -> BevImage {
+        let s = r.config.size;
+        let mut data = vec![0.0f32; BevImage::CHANNELS * s * s];
+        let res = r.config.resolution();
+        let bay = map.bay();
+        let bounds = map.bounds();
+        let v_norm = (ego.velocity / 2.5).clamp(-1.0, 1.0) as f32;
+        data[2 * s * s..].iter_mut().for_each(|v| *v = v_norm);
+        for row in 0..s {
+            for col in 0..s {
+                let ex = -r.config.range + (col as f64 + 0.5) * res;
+                let ey = r.config.range - (row as f64 + 0.5) * res;
+                let world = ego.pose.to_world(Vec2::new(ex, ey));
+                let occupied =
+                    !bounds.contains(world) || obstacles.iter().any(|o| o.contains(world));
+                if occupied {
+                    data[row * s + col] = 1.0;
+                }
+                if bay.contains(world) {
+                    data[(s + row) * s + col] = 1.0;
+                }
+            }
+        }
+        apply_noise(&mut data[..2 * s * s], noise, rng);
+        BevImage {
+            size: s,
+            range: r.config.range,
+            data,
+        }
+    }
+
+    /// The hoisted transforms give the per-call ones' bits: pixel centers
+    /// against `Pose2::to_world`, box-local points against
+    /// `Obb::contains`'s `(p - center).rotated(-theta)`. (The raster alone
+    /// could not show an ulp: a pixel flips only when its center sits
+    /// within an ulp of a box edge.)
+    #[test]
+    fn hoisted_transforms_are_bit_identical() {
+        use rand::Rng;
+        let mut gen = SmallRng::seed_from_u64(77);
+        let bits = |v: Vec2| (v.x.to_bits(), v.y.to_bits());
+        for config in [BevConfig::default(), BevConfig { size: 24, range: 5.5 }] {
+            let r = BevRenderer::new(config);
+            let res = config.resolution();
+            for _ in 0..50 {
+                let pose = Pose2::new(
+                    gen.gen_range(-50.0..50.0),
+                    gen.gen_range(-50.0..50.0),
+                    gen.gen_range(-10.0..10.0),
+                );
+                let ego = icoil_vehicle::VehicleState::at_rest(pose);
+                let (cols, rows) = r.pixel_products(pose.theta);
+                for (row, &rp) in rows.iter().enumerate() {
+                    for (col, &cp) in cols.iter().enumerate() {
+                        let ex = -config.range + (col as f64 + 0.5) * res;
+                        let ey = config.range - (row as f64 + 0.5) * res;
+                        let expect = pose.to_world(Vec2::new(ex, ey));
+                        assert_eq!(bits(pixel_world(&ego, cp, rp)), bits(expect));
+                    }
+                }
+                let obb = Obb::from_pose(pose, gen.gen_range(0.0..5.0), gen.gen_range(0.0..5.0));
+                let local = LocalObb::new(&obb);
+                for _ in 0..20 {
+                    let (dx, dy) = (gen.gen_range(-6.0..6.0), gen.gen_range(-6.0..6.0));
+                    let p = Vec2::new(pose.x + dx, pose.y + dy);
+                    assert_eq!(bits(local.local(p)), bits((p - obb.center).rotated(-obb.theta)));
+                    assert_eq!(local.contains(p), obb.contains(p));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn render_matches_the_reference_rasterizer_bit_for_bit() {
+        use rand::RngCore;
+        let mut gen = SmallRng::seed_from_u64(2024);
+        let scenes = [
+            ScenarioConfig::new(Difficulty::Easy, 5).build(),
+            ScenarioConfig::new(Difficulty::Hard, 9).build(),
+        ];
+        let configs = [BevConfig::default(), BevConfig { size: 24, range: 5.5 }];
+        for case in 0..300 {
+            let scene = &scenes[case % 2];
+            let r = BevRenderer::new(configs[case % 3 / 2]);
+            let mut ego = icoil_vehicle::VehicleState::at_rest(Pose2::new(
+                gen.gen_range(-5.0..35.0),
+                gen.gen_range(-5.0..25.0),
+                gen.gen_range(-10.0..10.0),
+            ));
+            ego.velocity = gen.gen_range(-3.0..3.0);
+            // scene obstacles plus random boxes: some far outside the
+            // window, some straddling its edge, some with huge extents
+            let mut obstacles = scene.obstacle_footprints(case as f64 * 0.1);
+            for _ in 0..gen.gen_range(0..6) {
+                let center = Pose2::new(
+                    ego.pose.x + gen.gen_range(-30.0..30.0),
+                    ego.pose.y + gen.gen_range(-30.0..30.0),
+                    gen.gen_range(-4.0..4.0),
+                );
+                let scale = if gen.gen_bool(0.1) { 40.0 } else { 3.0 };
+                obstacles.push(Obb::from_pose(
+                    center,
+                    gen.gen_range(0.0..scale),
+                    gen.gen_range(0.0..scale),
+                ));
+            }
+            let noise = if case % 4 == 0 { NoiseConfig::hard() } else { scene.noise };
+            let seed = gen.next_u64();
+            let rng = || SmallRng::seed_from_u64(seed);
+            let fast = r.render(&ego, &obstacles, &scene.map, &noise, &mut rng());
+            let slow = render_reference(&r, &ego, &obstacles, &scene.map, &noise, &mut rng());
+            let bits = |img: &BevImage| img.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "case {case}");
+        }
     }
 
     #[test]

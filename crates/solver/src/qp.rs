@@ -335,9 +335,13 @@ impl QpWarmStart {
 ///   elimination tree), which keys only on the KKT *pattern* and therefore
 ///   survives every value change — across ADMM ρ-adaptations, SCP passes,
 ///   and warm/cold re-solves of a frame only the numeric refactorization
-///   runs;
-/// * the adapted step size ρ from the previous solve, so later solves
-///   start from the rebalanced value instead of re-learning it.
+///   runs.
+///
+/// The workspace also records the step size ρ the previous solve ended
+/// at ([`QpWorkspace::carried_rho`]), but that record seeds nothing:
+/// every factor-cache miss starts ADMM from `settings.rho`, here and in
+/// [`crate::solve_qp_batch`]. Only a factor-cache hit resumes from an
+/// adapted ρ — the one stored with the cached factorization.
 #[derive(Debug, Clone, Default)]
 pub struct QpWorkspace {
     pub(crate) scaling: Option<(Vec<f64>, Vec<f64>)>,
@@ -346,22 +350,27 @@ pub struct QpWorkspace {
     pub(crate) rho: Option<f64>,
 }
 
-/// The serializable slice of a [`QpWorkspace`]: exactly the carried state
-/// that *changes solver iterates* and therefore must survive a session
-/// checkpoint for bit-identical replay.
+/// The serializable slice of a [`QpWorkspace`]: the cached Ruiz scaling,
+/// which *changes solver iterates* and therefore must survive a session
+/// checkpoint for bit-identical replay, plus the recorded ρ.
 ///
 /// The cached Ruiz scaling is reused verbatim on slightly-changed data
-/// (a change of variables, not a convergence tweak) and the adapted ρ
-/// seeds the next solve's penalty, so both alter every subsequent
-/// iterate. The factorization and symbolic caches are *not* captured:
-/// they are recomputed bit-identically from the (scaled) problem data on
-/// the first post-restore solve — dropping them costs one refactor, not
-/// one ulp.
+/// (a change of variables, not a convergence tweak), so it alters every
+/// subsequent iterate. The recorded ρ does not: no solve reads it (see
+/// [`QpWorkspace`]), so restoring it, or `None`, replays the same bits.
+/// The factorization and symbolic caches are *not* captured: they are
+/// recomputed from the (scaled) problem data on the first post-restore
+/// solve, which starts from `settings.rho` as any cache miss does. That
+/// replays the captured workspace bit for bit unless its next solve
+/// would have hit the factor cache (bit-identical scaled `P` and `A`):
+/// the hit resumes from the cached factor's adapted ρ, which a snapshot
+/// does not carry.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QpWorkspaceSnapshot {
     /// Cached Ruiz scaling vectors `D` (variables) and `E` (constraints).
     pub scaling: Option<(Vec<f64>, Vec<f64>)>,
-    /// Adapted ADMM step size ρ carried from the previous solve.
+    /// The ADMM step size ρ the previous solve ended at (a record only:
+    /// it does not seed later solves).
     pub rho: Option<f64>,
 }
 
@@ -434,7 +443,8 @@ impl QpWorkspace {
         self.rho = None;
     }
 
-    /// The adapted ρ carried from the previous solve, if any.
+    /// The ρ the previous solve ended at, if any. A record only: later
+    /// solves do not start from it (see [`QpWorkspace`]).
     pub fn carried_rho(&self) -> Option<f64> {
         self.rho
     }
@@ -445,8 +455,8 @@ impl QpWorkspace {
         self.symbolic.as_ref()
     }
 
-    /// Captures the iterate-affecting carried state (scaling + adapted ρ)
-    /// for a session checkpoint. See [`QpWorkspaceSnapshot`].
+    /// Captures the carried state (scaling + recorded ρ) for a session
+    /// checkpoint. See [`QpWorkspaceSnapshot`].
     pub fn snapshot(&self) -> QpWorkspaceSnapshot {
         QpWorkspaceSnapshot {
             scaling: self.scaling.clone(),
@@ -1428,6 +1438,56 @@ mod tests {
         for (a, b) in again.x.iter().zip(&cold.x) {
             assert!((a - b).abs() < 1e-4);
         }
+    }
+
+    #[test]
+    fn carried_rho_does_not_seed_later_solves() {
+        // the ρ a workspace carries is a record: a factor-cache miss
+        // starts from settings.rho whatever it holds, so a workspace
+        // restored with `rho: None` and the same scaling replays the
+        // next solve bit for bit, sequentially and batched
+        let s = settings();
+        let mut ws = QpWorkspace::new();
+        let first = solve_qp_warm(&tracking_qp(40, 0.0), &s, None, &mut ws);
+        let carried = ws.carried_rho().expect("a solved QP records its ρ");
+        assert_ne!(carried, s.rho, "the first solve must have adapted ρ");
+        let snapshot = QpWorkspaceSnapshot {
+            scaling: ws.snapshot().scaling,
+            rho: None,
+        };
+        let warm = QpWarmStart::from_solution(&first);
+        // a stiffer cost: same dimensions (so the scaling is reused) but
+        // new data, so the factor cache misses in both workspaces
+        let base = tracking_qp(40, 0.01);
+        let next = QpProblem::new(
+            Mat::diag(&[2.5; 40]),
+            base.q.clone(),
+            base.a.to_dense(),
+            base.l.clone(),
+            base.u.clone(),
+        )
+        .unwrap();
+        // everything but the cache diagnostics (the restored workspace
+        // rebuilds the symbolic analysis the carried one reuses)
+        let numerics = |mut sol: QpSolution| {
+            sol.diagnostics = QpDiagnostics::default();
+            sol
+        };
+        let mut batched_ws = ws.clone();
+        let carried_solve = numerics(solve_qp_warm(&next, &s, Some(&warm), &mut ws));
+        let mut restored = QpWorkspace::from_snapshot(&snapshot);
+        let restored_solve = numerics(solve_qp_warm(&next, &s, Some(&warm), &mut restored));
+        assert_eq!(carried_solve, restored_solve);
+        let batch = |workspace: &mut QpWorkspace| {
+            let job = crate::QpBatchJob {
+                problem: &next,
+                warm: Some(&warm),
+                workspace,
+            };
+            numerics(crate::solve_qp_batch(vec![job], &s).expect("one block").remove(0))
+        };
+        assert_eq!(batch(&mut batched_ws), carried_solve);
+        assert_eq!(batch(&mut QpWorkspace::from_snapshot(&snapshot)), carried_solve);
     }
 
     #[test]

@@ -37,11 +37,11 @@
 # weight-version pinning per response, bit-identical client mirrors and
 # checksum-clean artifact round trips, then repeats under
 # ICOIL_FORCE_SCALAR=1 so retraining on the scalar kernels meets the
-# same contract. The planner and telemetry suites run on their own leg:
-# the planner's holds the Reeds-Shepp oracle proptest (the production
-# search against the exhaustive enumeration, bit for bit) and the
-# telemetry's the allocation-free recorder test, and neither package is
-# reached by the root `cargo test`. Override the fuzz case count with
+# same contract. The root `cargo test` runs every workspace package's
+# suites (the manifest's `default-members` lists them all), so the
+# planner's Reeds-Shepp oracle proptest, the telemetry allocation test
+# and the serve/adapt/hsa suites need no leg of their own; only the
+# scalar-kernel leg repeats a subset. Override the fuzz case count with
 # ICOIL_FUZZ_CASES, e.g. `ICOIL_FUZZ_CASES=200 scripts/check.sh` for the
 # full local sweep.
 set -euo pipefail
@@ -49,7 +49,6 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
-cargo test -q -p icoil-planner -p icoil-telemetry
 ICOIL_FORCE_SCALAR=1 cargo test -q -p icoil-solver -p icoil-nn -p icoil-co
 cargo test --release -q --test backend_e2e
 cargo clippy --all-targets -- -D warnings
